@@ -54,7 +54,7 @@ int Run(const BenchOptions& options) {
                   std::to_string(n) + ", D=" + std::to_string(dim) +
                   ", batch=" + std::to_string(batch.size()) + ")",
               {"workers", "writer", "queries/s", "mutations/s",
-               "reads/query", "stolen chunks"});
+               "reads/query"});
 
   for (const int workers : {1, 2, 4, 8}) {
     for (const bool with_writer : {false, true}) {
@@ -90,13 +90,10 @@ int Run(const BenchOptions& options) {
 
       const WallTimer timer;
       uint64_t reads = 0;
-      size_t steals = 0;
       for (int r = 0; r < rounds; ++r) {
         const std::vector<QueryResult> results = engine.RunBatch(batch);
         for (const QueryResult& res : results) CHECK(res.status.ok());
-        const BatchStats stats = engine.last_batch_stats();
-        reads += stats.io.reads;
-        steals += stats.steals;
+        reads += engine.last_batch_stats().io.reads;
       }
       const double wall = timer.ElapsedSeconds();
 
@@ -116,8 +113,7 @@ int Run(const BenchOptions& options) {
                                mutations.load(std::memory_order_relaxed)) /
                            wall)
                : "0",
-           FormatNum(static_cast<double>(reads) / total_queries),
-           std::to_string(steals)});
+           FormatNum(static_cast<double>(reads) / total_queries)});
     }
   }
   table.Print();

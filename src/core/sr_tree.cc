@@ -246,10 +246,6 @@ SRTree::Node SRTree::DeserializeNode(const char* buf, PageId id) const {
 
 SRTree::Node SRTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  // Writer-side reads bypass the pool: WriteNode stages to the file without
-  // touching pool frames, so the pool's legacy stamp-0 namespace would go
-  // stale here. Queries still read pooled through the snapshot-stamped
-  // ReadNodeSnapshot path below.
   file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
@@ -263,9 +259,7 @@ SRTree::Node SRTree::PeekNode(PageId id) const {
 void SRTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  // Copy-on-write staging: snapshots keep reading the committed buffer, and
-  // the buffer pool needs no invalidation — its frames are keyed by stamp,
-  // and staging a shared page moves this id to a fresh one.
+  // Copy-on-write staging: snapshots keep reading the committed buffer.
   file_.StageWrite(node.id, buf.data());
 }
 
@@ -273,11 +267,7 @@ SRTree::Node SRTree::ReadNodeSnapshot(const PageFile::Snapshot& snap,
                                       PageId id, int level,
                                       IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->ReadSnapshot(snap, id, buf.data(), level, io);
-  } else {
-    snap.Read(id, buf.data(), level, io);
-  }
+  snap.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -386,9 +376,7 @@ const std::vector<double>& SRTree::EntryMinDists(const Node& node,
 // --------------------------------------------------------------------------
 
 Status SRTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
@@ -628,9 +616,7 @@ void SRTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status SRTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
   std::vector<Node> path;
   std::vector<int> idx;

@@ -45,7 +45,6 @@
 #include "src/geometry/sphere.h"
 #include "src/index/knn.h"
 #include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
 #include "src/storage/epoch.h"
 #include "src/storage/page_file.h"
 
@@ -133,10 +132,6 @@ class SRTree : public PointIndex {
   void SimulateBufferPool(size_t capacity) override {
     file_.SimulateCache(capacity);
   }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
 
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
@@ -201,9 +196,8 @@ class SRTree : public PointIndex {
   // --- page I/O ---
   // ReadNode/PeekNode/WriteNode operate on *working state* and belong to
   // the writer (or a locked structural accessor). The query path reads
-  // committed versions through ReadNodeSnapshot instead: via the attached
-  // BufferPool keyed by (page id, stamp) when one is present, else straight
-  // from the snapshot; `io` collects the per-query delta.
+  // committed versions through ReadNodeSnapshot instead, straight from the
+  // pinned snapshot; `io` collects the per-query delta.
   Node ReadNode(PageId id, int level, IoStatsDelta* io = nullptr) const
       REQUIRES(writer_mu_);
   Node PeekNode(PageId id) const REQUIRES(writer_mu_);
@@ -298,12 +292,6 @@ class SRTree : public PointIndex {
   const size_t node_min_;
 
   mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); frames are keyed
-  // by (page id, buffer stamp), so copy-on-write makes stale hits
-  // impossible and the writer never invalidates. Swapping the pool itself
-  // is still not thread-safe against in-flight queries.
-  std::unique_ptr<BufferPool> pool_ UNGUARDED_OK(
-      "swapped only by UseBufferPool, excluded vs in-flight queries");
 
   // writer_mu_ serializes mutations and guards the working tree metadata.
   // Queries never take it: they read the committed copies of these values

@@ -18,16 +18,9 @@ QueryEngine::QueryEngine(std::unique_ptr<PointIndex> index,
                          const EngineOptions& options)
     : index_(std::move(index)), options_(Sanitized(options)) {
   CHECK(index_ != nullptr);
-  if (options_.buffer_pool_pages > 0) {
-    index_->UseBufferPool(options_.buffer_pool_pages);
-  }
-  queues_.reserve(options_.num_workers);
-  for (int i = 0; i < options_.num_workers; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
   workers_.reserve(options_.num_workers);
   for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back(&QueryEngine::WorkerLoop, this, i);
+    workers_.emplace_back(&QueryEngine::WorkerLoop, this);
   }
 }
 
@@ -47,59 +40,36 @@ std::vector<QueryResult> QueryEngine::RunBatch(
 
   const WallTimer timer;
   std::vector<QueryResult> results(queries.size());
-  size_t total_chunks = 0;
+  const size_t grain = options_.steal_grain;
   if (!queries.empty()) {
-    // One pinned view for the whole batch: every chunk — owned or stolen,
-    // on any worker — queries the same committed version, so the results
-    // are byte-identical to a sequential loop over this snapshot even if a
-    // writer commits while the batch drains. Shared ownership: workers copy
-    // the handle under mu_, so the view stays alive for every chunk even on
-    // schedules where a worker is still draining after RunBatch resets the
-    // published copy below.
-    const std::shared_ptr<const IndexSnapshot> snapshot =
-        index_->AcquireSnapshot();
-    // Deal contiguous chunks round-robin across the worker deques.
-    const size_t grain = options_.steal_grain;
+    auto batch = std::make_shared<Batch>();
+    batch->queries = queries;
+    batch->results = &results;
+    // One pinned view for the whole batch: every query, on any worker, runs
+    // against the same committed version, so the results are byte-identical
+    // to a sequential loop over this snapshot even if a writer commits while
+    // the batch drains.
+    batch->snapshot = index_->AcquireSnapshot();
     {
       MutexLock lock(mu_);
-      ++epoch_;
-      batch_queries_ = queries;
-      batch_results_ = &results;
-      batch_snapshot_ = snapshot;
-      steals_ = 0;
-      int next_worker = 0;
-      for (size_t begin = 0; begin < queries.size(); begin += grain) {
-        const size_t end = std::min(queries.size(), begin + grain);
-        WorkerQueue& q = *queues_[next_worker];
-        {
-          MutexLock qlock(q.mu);
-          q.chunks.push_back(Chunk{begin, end, next_worker, epoch_});
-        }
-        next_worker = (next_worker + 1) % static_cast<int>(queues_.size());
-        ++total_chunks;
-      }
-      chunks_remaining_ = total_chunks;
+      batch_ = batch;
     }
     work_cv_.NotifyAll();
     {
       // Explicit wait loop (not a predicate lambda) so the analysis sees
-      // the guarded read of chunks_remaining_ under mu_.
+      // the wait under mu_; Drain signals under mu_, so the last completion
+      // cannot slip between this check and the wait.
       MutexLock lock(mu_);
-      while (chunks_remaining_ != 0) done_cv_.Wait(mu_);
-      batch_results_ = nullptr;
-      batch_queries_ = {};
-      batch_snapshot_ = nullptr;
+      while (batch->done.load() != queries.size()) done_cv_.Wait(mu_);
     }
+    // Every claim has completed, so no worker reads the snapshot again.
+    batch->snapshot.reset();
   }
 
   BatchStats stats;
   stats.queries = queries.size();
-  stats.chunks = total_chunks;
+  stats.chunks = (queries.size() + grain - 1) / grain;
   stats.wall_seconds = timer.ElapsedSeconds();
-  {
-    MutexLock lock(mu_);
-    stats.steals = steals_;
-  }
   for (const QueryResult& r : results) stats.io.MergeFrom(r.io);
   {
     MutexLock lock(stats_mu_);
@@ -115,90 +85,42 @@ BatchStats QueryEngine::last_batch_stats() const {
 
 std::unique_ptr<PointIndex> QueryEngine::ReleaseIndex() {
   MutexLock batch_lock(batch_mu_);
-  if (index_ != nullptr && options_.buffer_pool_pages > 0) {
-    index_->UseBufferPool(0);
-  }
   return std::move(index_);
 }
 
-void QueryEngine::WorkerLoop(int worker_id) {
-  uint64_t seen_epoch = 0;
+void QueryEngine::WorkerLoop() {
+  // The batch this worker drained last. Holding it keeps its address from
+  // being reused, so "batch_ differs from held" always means a new batch.
+  std::shared_ptr<Batch> held;
   while (true) {
-    // The batch state is snapshotted under mu_ so RunChunk below can index
-    // into it without the lock. The snapshot is only valid for chunks of
-    // epoch `seen_epoch`: once the last such chunk is done, RunBatch may
-    // return and the caller may dispatch the next batch while this worker
-    // is still in its drain loop. PopLocal/StealFrom therefore filter by
-    // epoch — a newer chunk bounces the worker back to the wait loop to
-    // re-snapshot before executing it.
-    std::span<const Query> queries;
-    std::vector<QueryResult>* results = nullptr;
-    std::shared_ptr<const IndexSnapshot> snapshot;
     {
       // Explicit wait loop (not a predicate lambda) so the analysis sees
-      // the guarded reads of shutdown_/epoch_ under mu_.
+      // the guarded reads of shutdown_/batch_ under mu_.
       MutexLock lock(mu_);
-      while (!shutdown_ && epoch_ == seen_epoch) work_cv_.Wait(mu_);
+      while (!shutdown_ && batch_ == held) work_cv_.Wait(mu_);
       if (shutdown_) return;
-      seen_epoch = epoch_;
-      queries = batch_queries_;
-      results = batch_results_;
-      snapshot = batch_snapshot_;
+      held = batch_;
     }
-    // Drain: own deque first, then steal. When both are dry *for this
-    // epoch* the batch has no work left for this worker (chunks in flight
-    // elsewhere finish on their executors; newer-epoch chunks are picked up
-    // after re-snapshotting), so it returns to the wait loop.
-    Chunk chunk;
-    while (PopLocal(worker_id, seen_epoch, chunk) ||
-           StealFrom(worker_id, seen_epoch, chunk)) {
-      RunChunk(chunk, queries, *snapshot, *results);
-      size_t remaining;
-      {
-        MutexLock lock(mu_);
-        CHECK_GT(chunks_remaining_, 0u);
-        remaining = --chunks_remaining_;
-        if (chunk.owner != worker_id) ++steals_;
-      }
-      if (remaining == 0) done_cv_.NotifyAll();
-    }
+    Drain(*held);
   }
 }
 
-bool QueryEngine::PopLocal(int worker_id, uint64_t epoch, Chunk& out) {
-  WorkerQueue& q = *queues_[worker_id];
-  MutexLock lock(q.mu);
-  // A mismatched chunk belongs to a batch dispatched after the snapshot
-  // this worker is executing against; leave it queued and report "dry" so
-  // the caller re-snapshots first. Queues never mix epochs (RunBatch only
-  // deals after the previous batch fully drained), so checking the front
-  // suffices.
-  if (q.chunks.empty() || q.chunks.front().epoch != epoch) return false;
-  out = q.chunks.front();
-  q.chunks.pop_front();
-  return true;
-}
-
-bool QueryEngine::StealFrom(int worker_id, uint64_t epoch, Chunk& out) {
-  const int n = static_cast<int>(queues_.size());
-  for (int step = 1; step < n; ++step) {
-    WorkerQueue& victim = *queues_[(worker_id + step) % n];
-    MutexLock lock(victim.mu);
-    if (!victim.chunks.empty() && victim.chunks.back().epoch == epoch) {
-      out = victim.chunks.back();
-      victim.chunks.pop_back();
-      return true;
+void QueryEngine::Drain(Batch& batch) {
+  const size_t n = batch.queries.size();
+  const size_t grain = options_.steal_grain;
+  while (true) {
+    const size_t begin = batch.next.fetch_add(grain);
+    if (begin >= n) return;
+    const size_t end = std::min(n, begin + grain);
+    for (size_t i = begin; i < end; ++i) {
+      const Query& q = batch.queries[i];
+      (*batch.results)[i] = batch.snapshot->Search(q.point, q.spec);
     }
-  }
-  return false;
-}
-
-void QueryEngine::RunChunk(const Chunk& chunk, std::span<const Query> queries,
-                           const IndexSnapshot& snapshot,
-                           std::vector<QueryResult>& results) {
-  for (size_t i = chunk.begin; i < chunk.end; ++i) {
-    const Query& q = queries[i];
-    results[i] = snapshot.Search(q.point, q.spec);
+    const size_t count = end - begin;
+    if (batch.done.fetch_add(count) + count == n) {
+      MutexLock lock(mu_);
+      done_cv_.NotifyAll();
+    }
   }
 }
 

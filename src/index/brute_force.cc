@@ -14,9 +14,7 @@ BruteForceIndex::BruteForceIndex(const Options& options) : options_(options) {
 }
 
 Status BruteForceIndex::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   points_.emplace_back(point.begin(), point.end());
   oids_.push_back(oid);
   MutexLock lock(stats_mu_);
@@ -25,6 +23,7 @@ Status BruteForceIndex::Insert(PointView point, uint32_t oid) {
 }
 
 Status BruteForceIndex::Delete(PointView point, uint32_t oid) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   for (size_t i = 0; i < points_.size(); ++i) {
     if (oids_[i] == oid && std::equal(point.begin(), point.end(),
                                       points_[i].begin(), points_[i].end())) {

@@ -6,13 +6,25 @@
 
 namespace srtree {
 
+Status ValidatePoint(PointView point, int dim) {
+  if (static_cast<int>(point.size()) != dim) {
+    return Status::InvalidArgument(
+        "point dimensionality does not match the index");
+  }
+  for (const double c : point) {
+    if (!std::isfinite(c)) {
+      return Status::InvalidArgument("point has a non-finite coordinate");
+    }
+  }
+  return Status::OK();
+}
+
 QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
                                PointView query, const QuerySpec& spec) {
   QueryResult result;
   const WallTimer timer;
-  if (static_cast<int>(query.size()) != dim) {
-    result.status = Status::InvalidArgument(
-        "query dimensionality does not match the index");
+  result.status = ValidatePoint(query, dim);
+  if (!result.status.ok()) {
     result.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
@@ -66,6 +78,9 @@ Status PointIndex::BulkLoad(const std::vector<Point>& points,
   if (size() != 0) {
     return Status::FailedPrecondition("BulkLoad requires an empty index");
   }
+  // Validate everything before the first Insert so a bad point leaves the
+  // index empty rather than half loaded.
+  for (const Point& p : points) RETURN_IF_ERROR(ValidatePoint(p, dim()));
   for (size_t i = 0; i < points.size(); ++i) {
     RETURN_IF_ERROR(Insert(points[i], oids[i]));
   }

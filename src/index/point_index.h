@@ -46,9 +46,16 @@ class SearchDispatch {
   ~SearchDispatch() = default;  // deleted only through concrete owners
 };
 
+// The one input check for a point handed to any index — a query, or the
+// point of an Insert, Delete or BulkLoad: InvalidArgument when its
+// dimensionality is not `dim` or any coordinate is NaN or infinite. A
+// non-finite coordinate compares false against every bound, so no
+// structure can place, find or rank such a point consistently.
+[[nodiscard]] Status ValidatePoint(PointView point, int dim);
+
 // The single validation + dispatch + timing shell behind every Search():
-// checks the spec (k >= 1 for the k-NN kinds, radius finite and >= 0 for
-// range, query dimensionality == `dim`), returns InvalidArgument with an
+// checks the query point (ValidatePoint) and the spec (k >= 1 for the k-NN
+// kinds, radius finite and >= 0 for range), returns InvalidArgument with an
 // empty neighbor list when malformed (no traversal runs), and otherwise
 // routes to the matching SearchDispatch hook, stamping elapsed time either
 // way.
@@ -125,12 +132,14 @@ class PointIndex : private SearchDispatch {
   virtual Status Insert(PointView point, uint32_t oid) = 0;
 
   // Removes one (point, oid) pair. NotFound if absent. Static structures
-  // return Unimplemented.
+  // return Unimplemented. Insert and Delete reject a malformed point
+  // (ValidatePoint) with InvalidArgument and leave the index unchanged.
   virtual Status Delete(PointView point, uint32_t oid) = 0;
 
   // Builds the index from scratch. The default implementation inserts
   // sequentially; bulk-loaded structures (VAMSplit R-tree) override it.
-  // Fails if the index is non-empty.
+  // Fails if the index is non-empty, and with InvalidArgument — loading
+  // nothing — if any point fails ValidatePoint.
   virtual Status BulkLoad(const std::vector<Point>& points,
                           const std::vector<uint32_t>& oids);
 
@@ -162,14 +171,14 @@ class PointIndex : private SearchDispatch {
   }
 
   // The unified query entry point. Validates the spec (k >= 1 for the k-NN
-  // kinds, radius >= 0 and finite for range, query dimensionality matching
-  // dim()) and returns InvalidArgument with an empty neighbor list when it
-  // is malformed — no traversal runs. The read path is const and
-  // re-entrant: any number of Search() calls may run concurrently. Whether
-  // they may also run concurrently with mutations is per-structure: the
-  // SR-tree serves every Search() from a pinned committed snapshot and is
-  // safe against its (single) writer; the other structures keep the legacy
-  // frozen-tree contract — no mutation
+  // kinds, radius >= 0 and finite for range) and the query point
+  // (ValidatePoint against dim()) and returns InvalidArgument with an
+  // empty neighbor list when either is malformed — no traversal runs. The
+  // read path is const and re-entrant: any number of Search() calls may
+  // run concurrently. Whether they may also run concurrently with
+  // mutations is per-structure: the SR-tree serves every Search() from a
+  // pinned committed snapshot and is safe against its (single) writer; the
+  // other structures keep the legacy frozen-tree contract — no mutation
   // (Insert/Delete/BulkLoad/ResetIoStats/...) while queries are in flight.
   //
   // Neighbors come back closest first, ties broken by oid:
@@ -249,13 +258,6 @@ class PointIndex : private SearchDispatch {
   // drains to zero once every reader has quiesced — the leak check epoch
   // reclamation owes its callers.
   virtual EpochManager* epoch_domain_for_test() const { return nullptr; }
-
-  // Routes the query read path through a real sharded BufferPool of
-  // `capacity` pages over the structure's page file (0 detaches it). Pool
-  // hits cost no disk read, so the paper's uncached figures require the
-  // default detached state. No-op for structures without pages. Not
-  // thread-safe against in-flight queries.
-  virtual void UseBufferPool(size_t capacity) { (void)capacity; }
 
  protected:
   // Traversal hooks behind Search(), inherited from SearchDispatch (see its

@@ -37,7 +37,7 @@ KdbTree::KdbTree(const Options& options) : options_(options), file_(options.page
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -187,11 +187,7 @@ KdbTree::Node KdbTree::DeserializeNode(const char* buf, PageId id) const {
 
 KdbTree::Node KdbTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
+  file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -204,7 +200,6 @@ KdbTree::Node KdbTree::PeekNode(PageId id) const {
 void KdbTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
   file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
 }
 
@@ -213,9 +208,7 @@ void KdbTree::WriteNode(const Node& node) {
 // --------------------------------------------------------------------------
 
 Status KdbTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   if (!Domain().Contains(point)) {
     return Status::InvalidArgument("point outside the indexed domain");
   }
@@ -464,9 +457,7 @@ Rect KdbTree::ClipLo(const Rect& region, int dim, double value) {
 // --------------------------------------------------------------------------
 
 Status KdbTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   if (!DeleteFrom(root_id_, root_level_, point, oid)) {
     return Status::NotFound("point not present");
   }

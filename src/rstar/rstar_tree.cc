@@ -43,7 +43,7 @@ RStarTree::RStarTree(const Options& options) : options_(options), file_(options.
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -189,11 +189,7 @@ RStarTree::Node RStarTree::DeserializeNode(const char* buf, PageId id) const {
 
 RStarTree::Node RStarTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
+  file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -206,7 +202,6 @@ RStarTree::Node RStarTree::PeekNode(PageId id) const {
 void RStarTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
   file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
 }
 
@@ -234,9 +229,7 @@ Rect RStarTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status RStarTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_levels_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -540,9 +533,7 @@ void RStarTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status RStarTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -18,7 +18,6 @@
 #include "src/geometry/rect.h"
 #include "src/index/knn.h"
 #include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
 
 namespace srtree {
@@ -72,10 +71,6 @@ class RStarTree : public PointIndex {
 
   void SimulateBufferPool(size_t capacity) override {
     file_.SimulateCache(capacity);
-  }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
   }
 
   // Fanout limits implied by the page layout (Table 1 of the paper).
@@ -177,9 +172,6 @@ class RStarTree : public PointIndex {
   size_t node_min_;
 
   mutable PageFile file_;
-  // Optional warm cache on the query path (UseBufferPool); WriteNode
-  // invalidates its frames so single-writer mutation stays coherent.
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_;
   int root_level_ = 0;
   size_t size_ = 0;

@@ -49,7 +49,7 @@ SSTree::SSTree(const Options& options) : options_(options), file_(options.page_s
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -198,11 +198,7 @@ SSTree::Node SSTree::DeserializeNode(const char* buf, PageId id) const {
 
 SSTree::Node SSTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
+  file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -215,7 +211,6 @@ SSTree::Node SSTree::PeekNode(PageId id) const {
 void SSTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
   file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
 }
 
@@ -276,9 +271,7 @@ PointView SSTree::EntryCentroid(const Node& node, size_t i) const {
 // --------------------------------------------------------------------------
 
 Status SSTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_nodes_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -515,9 +508,7 @@ void SSTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status SSTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -223,19 +223,12 @@ StaticSRTree::InnerRef StaticSRTree::ParseInner(const char* buf) const {
   return inner;
 }
 
-StaticSRTree::PageHandle StaticSRTree::ReadPage(
-    const PageFile::Snapshot& snap, PageId id, int level, IoStatsDelta* io,
-    std::vector<char>& scratch) const {
-  PageHandle handle;
-  if (pool_ != nullptr) {
-    handle.guard.emplace(pool_->PinSnapshot(snap, id, level, io));
-    handle.data = handle.guard->data();
-  } else {
-    scratch.resize(options_.page_size);
-    snap.Read(id, scratch.data(), level, io);
-    handle.data = scratch.data();
-  }
-  return handle;
+const char* StaticSRTree::ReadPage(const PageFile::Snapshot& snap, PageId id,
+                                   int level, IoStatsDelta* io,
+                                   std::vector<char>& scratch) const {
+  scratch.resize(options_.page_size);
+  snap.Read(id, scratch.data(), level, io);
+  return scratch.data();
 }
 
 void StaticSRTree::GatherPoint(const SoaBlock& block, size_t i,
@@ -258,12 +251,14 @@ bool StaticSRTree::Tombstoned(const TombstoneSet* tombstones,
 // Construction
 // --------------------------------------------------------------------------
 
-Status StaticSRTree::Insert(PointView, uint32_t) {
+Status StaticSRTree::Insert(PointView point, uint32_t) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   return Status::Unimplemented(
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
 
-Status StaticSRTree::Delete(PointView, uint32_t) {
+Status StaticSRTree::Delete(PointView point, uint32_t) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   return Status::Unimplemented(
       "Static SR-tree is immutable; mutate through a TieredIndex");
 }
@@ -471,9 +466,7 @@ Status StaticSRTree::BulkLoad(const std::vector<Point>& points,
     return Status::FailedPrecondition("BulkLoad requires an empty index");
   }
   for (const Point& p : points) {
-    if (static_cast<int>(p.size()) != options_.dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
-    }
+    RETURN_IF_ERROR(ValidatePoint(p, options_.dim));
   }
   if (points.size() > 0xffffffffull) {
     return Status::InvalidArgument("too many points for 32-bit object slots");
@@ -602,14 +595,14 @@ void StaticSRTree::SearchKnnDfs(const PageFile::Snapshot& snap, PageId id,
                                 const TombstoneSet* tombstones) const {
   std::vector<std::pair<double, PageId>> order;
   {
-    const PageHandle page = ReadPage(snap, id, level, io, page_scratch);
+    const char* page = ReadPage(snap, id, level, io, page_scratch);
     if (level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, cand.PruneDistanceSquared(),
+      ScanLeaf(ParseLeaf(page), query, cand.PruneDistanceSquared(),
                scratch, tombstones,
                [&](double d2, uint32_t oid) { cand.OfferSquared(d2, oid); });
       return;
     }
-    const InnerRef inner = ParseInner(page.data);
+    const InnerRef inner = ParseInner(page);
     std::vector<double> mindist;
     EntryMinDists(inner, query, scratch, mindist);
     order.resize(inner.count);
@@ -617,8 +610,8 @@ void StaticSRTree::SearchKnnDfs(const PageFile::Snapshot& snap, PageId id,
       order[i] = {mindist[i], inner.first_child + static_cast<PageId>(i)};
     }
     std::sort(order.begin(), order.end());
-    // The page (pin or scratch buffer) is released here; everything the
-    // recursion needs has been copied into `order`.
+    // The recursion reuses the scratch buffer `page` points into;
+    // everything it needs has been copied into `order`.
   }
   for (const auto& [mindist, child] : order) {
     if (mindist > cand.PruneDistance()) break;
@@ -670,16 +663,15 @@ std::vector<Neighbor> StaticSRTree::KnnBestFirstSnapshot(
     const Pending next = frontier.top();
     frontier.pop();
     if (next.mindist > candidates.PruneDistance()) break;
-    const PageHandle page =
-        ReadPage(snap, next.id, next.level, io, page_scratch);
+    const char* page = ReadPage(snap, next.id, next.level, io, page_scratch);
     if (next.level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, candidates.PruneDistanceSquared(),
+      ScanLeaf(ParseLeaf(page), query, candidates.PruneDistanceSquared(),
                scratch, tombstones, [&](double d2, uint32_t oid) {
                  candidates.OfferSquared(d2, oid);
                });
       continue;
     }
-    const InnerRef inner = ParseInner(page.data);
+    const InnerRef inner = ParseInner(page);
     EntryMinDists(inner, query, scratch, mindist);
     for (size_t i = 0; i < inner.count; ++i) {
       if (mindist[i] <= candidates.PruneDistance()) {
@@ -701,15 +693,15 @@ void StaticSRTree::SearchRange(const PageFile::Snapshot& snap, PageId id,
                                const TombstoneSet* tombstones) const {
   std::vector<PageId> hits;
   {
-    const PageHandle page = ReadPage(snap, id, level, io, page_scratch);
+    const char* page = ReadPage(snap, id, level, io, page_scratch);
     if (level == 0) {
-      ScanLeaf(ParseLeaf(page.data), query, radius * radius, scratch,
+      ScanLeaf(ParseLeaf(page), query, radius * radius, scratch,
                tombstones, [&](double d2, uint32_t oid) {
                  out.push_back(Neighbor{std::sqrt(d2), oid});
                });
       return;
     }
-    const InnerRef inner = ParseInner(page.data);
+    const InnerRef inner = ParseInner(page);
     std::vector<double> mindist;
     EntryMinDists(inner, query, scratch, mindist);
     for (size_t i = 0; i < inner.count; ++i) {

@@ -15,8 +15,8 @@
 //     rect-lo / rect-hi / weight blocks. A query overlays SoaBlock views on
 //     the raw page bytes and feeds them straight to the DistanceKernel batch
 //     API — zero per-entry deserialization on the search path;
-//   * reads go through PageFile::Snapshot (and BufferPool::PinSnapshot when
-//     a pool is attached), the same commit-protocol machinery the dynamic
+//   * every page read is one Snapshot::Read copy into a per-query scratch
+//     buffer, through the same commit-protocol machinery the dynamic
 //     SR-tree uses, so a TieredIndex can swap a freshly compacted tree in
 //     while concurrent snapshot readers keep traversing the old one.
 //
@@ -33,7 +33,6 @@
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -43,7 +42,6 @@
 #include "src/geometry/kernel.h"
 #include "src/index/knn.h"
 #include "src/index/point_index.h"
-#include "src/storage/buffer_pool.h"
 #include "src/storage/page_file.h"
 
 namespace srtree {
@@ -108,10 +106,6 @@ class StaticSRTree : public PointIndex {
   void SimulateBufferPool(size_t capacity) override {
     file_.SimulateCache(capacity);
   }
-  void UseBufferPool(size_t capacity) override {
-    pool_ = capacity > 0 ? std::make_unique<BufferPool>(&file_, capacity)
-                         : nullptr;
-  }
 
   size_t leaf_capacity() const override { return leaf_cap_; }
   size_t node_capacity() const override { return node_cap_; }
@@ -159,9 +153,9 @@ class StaticSRTree : public PointIndex {
                                   IoStatsDelta* io) const override;
 
  private:
-  // ---- zero-copy page views -----------------------------------------------
+  // ---- page views ---------------------------------------------------------
   // Overlays on the raw page bytes; the blocks alias the page buffer, so a
-  // view is valid only while its PageHandle (below) is.
+  // view is valid only until that buffer is overwritten (see ReadPage).
 
   struct LeafRef {
     size_t count = 0;
@@ -178,16 +172,11 @@ class StaticSRTree : public PointIndex {
     const uint32_t* weights = nullptr;
   };
 
-  // One resolved page: either a pinned buffer-pool frame (zero copy) or the
-  // caller's scratch buffer filled through Snapshot::Read (one page copy,
-  // still no per-entry decode).
-  struct PageHandle {
-    std::optional<BufferPool::PageGuard> guard;
-    const char* data = nullptr;
-  };
-
-  PageHandle ReadPage(const PageFile::Snapshot& snap, PageId id, int level,
-                      IoStatsDelta* io, std::vector<char>& scratch) const;
+  // Copies page `id` into `scratch` through Snapshot::Read (one page copy,
+  // no per-entry decode) and returns a pointer to it; the views parsed from
+  // it stay valid until `scratch` is read into again.
+  const char* ReadPage(const PageFile::Snapshot& snap, PageId id, int level,
+                       IoStatsDelta* io, std::vector<char>& scratch) const;
 
   int PageLevel(const char* buf) const;
   LeafRef ParseLeaf(const char* buf) const;
@@ -258,7 +247,6 @@ class StaticSRTree : public PointIndex {
   size_t node_cap_;
 
   mutable PageFile file_;
-  std::unique_ptr<BufferPool> pool_;
   PageId root_id_ = kInvalidPageId;
   int root_level_ = 0;
   size_t size_ = 0;

@@ -78,6 +78,7 @@ size_t TieredIndex::size() const { return LoadState()->size; }
 // --------------------------------------------------------------------------
 
 Status TieredIndex::Insert(PointView point, uint32_t oid) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
   const std::shared_ptr<const TierState> cur = LoadState();
   // A pair tombstoned in the static tier may be re-inserted: the delta copy
@@ -93,6 +94,7 @@ Status TieredIndex::Insert(PointView point, uint32_t oid) {
 }
 
 Status TieredIndex::Delete(PointView point, uint32_t oid) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   MutexLock lock(writer_mu_);
   const std::shared_ptr<const TierState> cur = LoadState();
   TierState next = *cur;
@@ -463,13 +465,6 @@ void TieredIndex::SimulateBufferPool(size_t capacity) {
   const std::shared_ptr<const TierState> cur = LoadState();
   cur->static_tier->SimulateBufferPool(capacity);
   cur->delta->SimulateBufferPool(capacity);
-}
-
-void TieredIndex::UseBufferPool(size_t capacity) {
-  MutexLock lock(writer_mu_);
-  const std::shared_ptr<const TierState> cur = LoadState();
-  cur->static_tier->UseBufferPool(capacity);
-  cur->delta->UseBufferPool(capacity);
 }
 
 size_t TieredIndex::leaf_capacity() const {

@@ -116,14 +116,12 @@ PageId PageFile::Allocate() {
     std::memset(pages_[id].get(), 0, page_size_);
     live_[id] = true;
     ++live_pages_;
-    page_stamp_[id] = next_stamp_++;
     return id;
   }
   const PageId id = static_cast<PageId>(pages_.size());
   pages_.push_back(std::make_unique<char[]>(page_size_));
   live_.push_back(true);
   shared_with_committed_.push_back(false);
-  page_stamp_.push_back(next_stamp_++);
   ++live_pages_;
   return id;
 }
@@ -206,14 +204,12 @@ void PageFile::StageWrite(PageId id, const char* data) {
   CHECK(IsLive(id));
   if (shared_with_committed_[id]) {
     // Copy-on-write: the published version keeps the old buffer (retired at
-    // the next Commit); the working state moves to a fresh one under a
-    // fresh stamp so (id, stamp) keeps naming immutable bytes.
+    // the next Commit); the working state moves to a fresh one.
     auto fresh = std::make_unique<char[]>(page_size_);
     std::memcpy(fresh.get(), data, page_size_);
     pending_retire_.push_back(std::move(pages_[id]));
     pages_[id] = std::move(fresh);
     shared_with_committed_[id] = false;
-    page_stamp_[id] = next_stamp_++;
   } else {
     // The buffer was created after the last commit; no snapshot can see it.
     std::memcpy(pages_[id].get(), data, page_size_);
@@ -230,7 +226,7 @@ void PageFile::Commit(const std::array<uint64_t, kCommitMetaWords>& meta) {
   next->table.resize(pages_.size());
   for (size_t i = 0; i < pages_.size(); ++i) {
     if (live_[i]) {
-      next->table[i] = PageRef{pages_[i].get(), page_stamp_[i]};
+      next->table[i] = pages_[i].get();
       shared_with_committed_[i] = true;
     }
   }
@@ -263,20 +259,15 @@ uint64_t PageFile::committed_version() const {
   return committed_.load(std::memory_order_seq_cst)->version;
 }
 
-uint64_t PageFile::page_stamp(PageId id) const {
-  CHECK(IsLive(id));
-  return page_stamp_[id];
-}
-
 void PageFile::Snapshot::Read(PageId id, char* out, int level,
                               IoStatsDelta* delta) const {
   const auto* state = static_cast<const VersionState*>(state_);
   CHECK_LT(static_cast<size_t>(id), state->table.size());
-  const PageRef& ref = state->table[id];
-  CHECK(ref.data != nullptr);
+  const char* data = state->table[id];
+  CHECK(data != nullptr);
   // The buffer is immutable for this version's lifetime (copy-on-write),
   // so the copy needs no lock; only the shared counters do.
-  std::memcpy(out, ref.data, file_->page_size_);
+  std::memcpy(out, data, file_->page_size_);
   bool cache_hit = false;
   {
     MutexLock lock(file_->stats_mu_);
@@ -301,14 +292,7 @@ uint64_t PageFile::Snapshot::meta(size_t i) const {
 bool PageFile::Snapshot::is_live(PageId id) const {
   const auto* state = static_cast<const VersionState*>(state_);
   return static_cast<size_t>(id) < state->table.size() &&
-         state->table[id].data != nullptr;
-}
-
-uint64_t PageFile::Snapshot::page_stamp(PageId id) const {
-  const auto* state = static_cast<const VersionState*>(state_);
-  CHECK_LT(static_cast<size_t>(id), state->table.size());
-  CHECK(state->table[id].data != nullptr);
-  return state->table[id].stamp;
+         state->table[id] != nullptr;
 }
 
 IoStats PageFile::GetIoStats() const {
@@ -520,8 +504,6 @@ Status PageFile::LoadFrom(std::istream& in) {
   free_list_ = std::move(free_list);
   live_pages_ = live_pages;
   shared_with_committed_.assign(pages_.size(), false);
-  page_stamp_.resize(pages_.size());
-  for (size_t i = 0; i < pages_.size(); ++i) page_stamp_[i] = next_stamp_++;
   {
     MutexLock lock(stats_mu_);
     cache_lru_.clear();

@@ -3,8 +3,16 @@
 // This is the substrate every index structure is built on. It behaves like a
 // 1997 raw-device file: pages are allocated/freed by id, and every Read()/
 // Write() is counted as one disk access (no caching — the paper's numbers
-// assume cold reads per query). An optional BufferPool (buffer_pool.h) can
-// be layered on top when caching behavior is wanted.
+// assume cold reads per query).
+//
+// There is one page-read path: a read copies the page into the caller's
+// buffer and records it in the shared counters plus the caller's per-query
+// delta. PageFile::Read serves writers and the frozen trees from the
+// working pages; Snapshot::Read serves queries of the committing trees
+// (SR-tree, static tier) from a pinned version — same copy, same
+// accounting. A cached view is accounting
+// only: SimulateCache() runs an LRU over the read stream and counts the
+// reads it would have served, without changing what is read.
 //
 // Storage is in memory; the simulation is about *counting* block transfers
 // and enforcing that each node physically fits one block, not about actual
@@ -89,12 +97,6 @@ class PageFile {
     // True when `id` was live in this version.
     bool is_live(PageId id) const;
 
-    // Identity of the page *buffer* backing `id` in this version. A
-    // (page id, stamp) pair names immutable bytes — copy-on-write assigns a
-    // fresh stamp — which is what lets BufferPool cache snapshot reads
-    // without any invalidation protocol.
-    uint64_t page_stamp(PageId id) const;
-
     size_t page_size() const { return file_->page_size(); }
 
    private:
@@ -151,10 +153,6 @@ class PageFile {
 
   // Version number of the most recently committed version.
   uint64_t committed_version() const;
-
-  // Stamp of the *working* buffer currently backing `id` (see
-  // Snapshot::page_stamp). The id must be live.
-  uint64_t page_stamp(PageId id) const;
 
   // The reclamation domain for this file's retired versions and buffers.
   // Readers construct EpochGuards against it; tests assert retired_count()
@@ -220,17 +218,12 @@ class PageFile {
  private:
   bool IsLive(PageId id) const;
 
-  // One entry of a committed version's page table: the immutable buffer
-  // bytes (nullptr = dead in that version) and the buffer's stamp.
-  struct PageRef {
-    const char* data = nullptr;
-    uint64_t stamp = 0;
-  };
-
   // An immutable committed version. Built by Commit(), published through
-  // `committed_`, torn down by the epoch manager once unreachable.
+  // `committed_`, torn down by the epoch manager once unreachable. `table`
+  // maps each page id to its immutable buffer (nullptr = dead in that
+  // version).
   struct VersionState {
-    std::vector<PageRef> table;
+    std::vector<const char*> table;
     std::array<uint64_t, kCommitMetaWords> meta{};
     uint64_t version = 0;
   };
@@ -274,11 +267,6 @@ class PageFile {
   // Free must detach instead of recycling it.
   std::vector<bool> shared_with_committed_ UNGUARDED_OK(
       "commit-protocol state owned by the single writer");
-  // Stamp of the working buffer per page (see Snapshot::page_stamp).
-  std::vector<uint64_t> page_stamp_ UNGUARDED_OK(
-      "commit-protocol state owned by the single writer");
-  uint64_t next_stamp_ UNGUARDED_OK(
-      "commit-protocol state owned by the single writer") = 1;
   // Buffers displaced by StageWrite/Free since the last Commit(): still
   // referenced by the published version, retired with it at the next one.
   std::vector<std::unique_ptr<char[]>> pending_retire_ UNGUARDED_OK(

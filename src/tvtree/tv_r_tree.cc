@@ -50,7 +50,7 @@ TvRTree::TvRTree(const Options& options)
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -204,11 +204,7 @@ TvRTree::Node TvRTree::DeserializeNode(const char* buf, PageId id) const {
 
 TvRTree::Node TvRTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
+  file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -221,7 +217,6 @@ TvRTree::Node TvRTree::PeekNode(PageId id) const {
 void TvRTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
   file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
 }
 
@@ -249,9 +244,7 @@ Rect TvRTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status TvRTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   reinserted_levels_.clear();
   std::deque<Pending> pending;
   Pending item;
@@ -556,9 +549,7 @@ void TvRTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status TvRTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

@@ -31,7 +31,7 @@ VamSplitRTree::VamSplitRTree(const Options& options) : options_(options), file_(
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -170,11 +170,7 @@ VamSplitRTree::Node VamSplitRTree::DeserializeNode(const char* buf,
 
 VamSplitRTree::Node VamSplitRTree::ReadNode(PageId id, int level, IoStatsDelta* io) const {
   std::vector<char> buf(options_.page_size);
-  if (pool_ != nullptr) {
-    pool_->Read(id, buf.data(), level, io);
-  } else {
-    file_.Read(id, buf.data(), level, io);
-  }
+  file_.Read(id, buf.data(), level, io);
   Node node = DeserializeNode(buf.data(), id);
   DCHECK_EQ(node.level, level);
   return node;
@@ -187,7 +183,6 @@ VamSplitRTree::Node VamSplitRTree::PeekNode(PageId id) const {
 void VamSplitRTree::WriteNode(const Node& node) {
   std::vector<char> buf(options_.page_size);
   SerializeNode(node, buf.data());
-  if (pool_ != nullptr) pool_->Discard(node.id);  // invalidate stale frame
   file_.Write(node.id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
 }
 
@@ -195,12 +190,14 @@ void VamSplitRTree::WriteNode(const Node& node) {
 // Construction
 // --------------------------------------------------------------------------
 
-Status VamSplitRTree::Insert(PointView, uint32_t) {
+Status VamSplitRTree::Insert(PointView point, uint32_t) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   return Status::Unimplemented(
       "VAMSplit R-tree is static; rebuild with BulkLoad");
 }
 
-Status VamSplitRTree::Delete(PointView, uint32_t) {
+Status VamSplitRTree::Delete(PointView point, uint32_t) {
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   return Status::Unimplemented(
       "VAMSplit R-tree is static; rebuild with BulkLoad");
 }
@@ -220,9 +217,7 @@ Status VamSplitRTree::BulkLoad(const std::vector<Point>& points,
     return Status::FailedPrecondition("BulkLoad requires an empty index");
   }
   for (const Point& p : points) {
-    if (static_cast<int>(p.size()) != options_.dim) {
-      return Status::InvalidArgument("point dimensionality mismatch");
-    }
+    RETURN_IF_ERROR(ValidatePoint(p, options_.dim));
   }
   if (points.size() > 0xffffffffull) {
     return Status::InvalidArgument("too many points for 32-bit object slots");

@@ -63,7 +63,7 @@ XTree::XTree(const Options& options)
   Node root;
   root.id = file_.Allocate();
   root.level = 0;
-  WriteNode(root);
+  WriteNode(root);  // srcheck: allow(C7) frozen-tree WriteNode is an in-place PageFile::Write; C7 merges it by name with the staging SRTree::WriteNode
   root_id_ = root.id;
 }
 
@@ -177,11 +177,7 @@ XTree::Node XTree::LoadNode(PageId id, bool count_reads, int level,
     const char* raw;
     if (count_reads) {
       // Every page of a supernode chain is a counted read.
-      if (pool_ != nullptr) {
-        pool_->Read(cur, buf.data(), level, io);
-      } else {
-        file_.Read(cur, buf.data(), level, io);
-      }
+      file_.Read(cur, buf.data(), level, io);
       raw = buf.data();
     } else {
       raw = file_.PeekPage(cur);
@@ -269,7 +265,6 @@ void XTree::WriteNode(Node& node) {
       }
     }
     const PageId page_id = page == 0 ? node.id : node.extra_pages[page - 1];
-    if (pool_ != nullptr) pool_->Discard(page_id);  // invalidate stale frame
     file_.Write(page_id, buf.data());  // srlint: allow(R6) frozen-tree write path (no snapshot readers)
   }
 }
@@ -303,9 +298,7 @@ Rect XTree::NodeBoundingRect(const Node& node) const {
 // --------------------------------------------------------------------------
 
 Status XTree::Insert(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   InsertLeafEntry(LeafEntry{Point(point.begin(), point.end()), oid});
   ++size_;
   return Status::OK();
@@ -612,9 +605,7 @@ void XTree::GrowRoot(Node& left, Node& right) {
 // --------------------------------------------------------------------------
 
 Status XTree::Delete(PointView point, uint32_t oid) {
-  if (static_cast<int>(point.size()) != options_.dim) {
-    return Status::InvalidArgument("point dimensionality mismatch");
-  }
+  RETURN_IF_ERROR(ValidatePoint(point, options_.dim));
   std::vector<Node> path;
   std::vector<int> idx;
   Node root = ReadNode(root_id_, root_level_);

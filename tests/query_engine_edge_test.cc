@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -118,15 +119,16 @@ TEST(QueryEngineEdgeTest, DestructionWithIdlePool) {
 }
 
 TEST(QueryEngineEdgeTest, BackToBackBatchesNeverCrossEpochs) {
-  // Regression test for a cross-epoch use-after-free: a worker that drains
-  // the last chunk of batch N used to loop straight back into PopLocal/
-  // StealFrom, and if the caller had already dispatched batch N+1 it could
-  // execute an N+1 chunk against the stale results pointer snapshotted for
-  // N — a write through a destroyed vector. Chunks are now epoch-tagged and
-  // a worker refuses chunks from an epoch it did not snapshot. Tiny batches
-  // with single-query chunks maximize the dispatch-while-draining window; a
-  // regression can surface under TSan as a data race / heap-use-after-free,
-  // or in any build as a wrong or missing result.
+  // Regression test for a cross-batch use-after-free: a worker that drains
+  // the last queries of batch N can still be in its drain loop when the
+  // caller dispatches batch N+1, and it once ran N+1 work against the stale
+  // results pointer of N — a write through a destroyed vector. A worker now
+  // holds batch N's own state, whose cursor is exhausted, so it can claim
+  // nothing until it picks up N+1's state under the engine lock. Tiny
+  // batches with single-query cursor steps maximize the
+  // dispatch-while-draining window; a regression can surface under TSan as
+  // a data race / heap-use-after-free, or in any build as a wrong or
+  // missing result.
   EngineOptions options;
   options.num_workers = 8;
   options.steal_grain = 1;
@@ -139,6 +141,57 @@ TEST(QueryEngineEdgeTest, BackToBackBatchesNeverCrossEpochs) {
   const std::vector<QueryResult> want = RunSequential(engine.index(), queries);
   for (int round = 0; round < 500; ++round) {
     ExpectSameAnswers(engine.RunBatch(queries), want);
+  }
+}
+
+TEST(QueryEngineEdgeTest, ConcurrentCallersMatchSequential) {
+  // RunBatch may be called from several threads at once; batches are
+  // serialized internally. Four callers hammer one engine with batches of
+  // different sizes and single-query cursor steps, so a worker late from
+  // one caller's batch keeps overlapping the next caller's dispatch. Every
+  // answer must still be the sequential one, per-query read counts
+  // included.
+  constexpr int kCallers = 4;
+  constexpr int kBatchesPerCaller = 50;
+  EngineOptions options;
+  options.num_workers = 4;
+  options.steal_grain = 1;
+  QueryEngine engine(BuildSmallIndex(300), options);
+
+  std::vector<std::vector<Query>> batches(kCallers);
+  std::vector<std::vector<QueryResult>> wants(kCallers);
+  for (int c = 0; c < kCallers; ++c) {
+    const std::vector<Point> points = SampleUniformQueries(
+        kDim, 3 + 2 * static_cast<size_t>(c), /*seed=*/241 + c);
+    for (size_t i = 0; i < points.size(); ++i) {
+      const QuerySpec spec = (i % 3 == 0)   ? QuerySpec::Knn(4)
+                             : (i % 3 == 1) ? QuerySpec::KnnBestFirst(6)
+                                            : QuerySpec::Range(0.3);
+      batches[c].push_back({points[i], spec});
+    }
+    wants[c] = RunSequential(engine.index(), batches[c]);
+  }
+
+  std::vector<std::vector<std::vector<QueryResult>>> got(kCallers);
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int b = 0; b < kBatchesPerCaller; ++b) {
+        got[c].push_back(engine.RunBatch(batches[c]));
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+
+  for (int c = 0; c < kCallers; ++c) {
+    ASSERT_EQ(got[c].size(), static_cast<size_t>(kBatchesPerCaller));
+    for (const std::vector<QueryResult>& results : got[c]) {
+      ExpectSameAnswers(results, wants[c]);
+      for (size_t i = 0; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].io.reads, wants[c][i].io.reads)
+            << "caller " << c << " query " << i;
+      }
+    }
   }
 }
 

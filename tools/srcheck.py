@@ -139,13 +139,11 @@ RULES = ("C1", "C2", "C3", "C4", "C5", "C6", "C7", "C8")
 WAIVER_RE = re.compile(r"srcheck:\s*allow\((C[1-8])\)\s+(\S.*)")
 EXPECT_RE = re.compile(r"srcheck-expect\((C[1-8])\)")
 
-# C2: the pin protocol's own implementation hands guards and frame
-# pointers around by construction; everything outside goes through the
-# public ScopedPin/PageGuard surface.
-C2_ALLOWED_FILES = {
-    "src/storage/buffer_pool.h",
-    "src/storage/buffer_pool.cc",
-}
+# C2: files allowed to hand guards and frame pointers around — a pin
+# protocol's own implementation. The repo has none today; the rule and its
+# fixtures stay so that a future pinning cache is checked from its first
+# line.
+C2_ALLOWED_FILES: set[str] = set()
 
 # C5: the snapshot/epoch protocol's own implementation builds the views it
 # hands out; everything outside goes through AcquireSnapshot + EpochGuard.
