@@ -62,9 +62,15 @@ void BruteForceIndex::ChargeScan(IoStatsDelta* io) const {
 // feed the same kernel exactly.
 constexpr size_t kScanBlock = 256;
 
-std::vector<Neighbor> BruteForceIndex::KnnDfsImpl(PointView query, int k,
+std::vector<Neighbor> BruteForceIndex::SearchImpl(PointView query,
+                                                  const QuerySpec& spec,
                                                   IoStatsDelta* io) const {
   ChargeScan(io);
+  return spec.kind == QueryKind::kRange ? ScanRange(query, spec.radius)
+                                        : ScanKnn(query, spec.k);
+}
+
+std::vector<Neighbor> BruteForceIndex::ScanKnn(PointView query, int k) const {
   KnnCandidates candidates(k);
   KernelScratch scratch;
   for (size_t base = 0; base < points_.size(); base += kScanBlock) {
@@ -80,10 +86,8 @@ std::vector<Neighbor> BruteForceIndex::KnnDfsImpl(PointView query, int k,
   return candidates.TakeSorted();
 }
 
-std::vector<Neighbor> BruteForceIndex::RangeImpl(PointView query,
-                                                 double radius,
-                                                 IoStatsDelta* io) const {
-  ChargeScan(io);
+std::vector<Neighbor> BruteForceIndex::ScanRange(PointView query,
+                                                 double radius) const {
   std::vector<Neighbor> result;
   KernelScratch scratch;
   const double radius_sq = radius * radius;

@@ -64,17 +64,14 @@ class BruteForceIndex : public PointIndex {
   }
 
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  // A scan has no traversal order: both k-NN kinds run ScanKnn.
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override {
-    return KnnDfsImpl(query, k, io);  // a scan has no traversal order
-  }
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
 
  private:
   void ChargeScan(IoStatsDelta* io) const EXCLUDES(stats_mu_);
+  std::vector<Neighbor> ScanKnn(PointView query, int k) const;
+  std::vector<Neighbor> ScanRange(PointView query, double radius) const;
 
   const Options options_;
   std::vector<Point> points_ UNGUARDED_OK(

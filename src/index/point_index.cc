@@ -33,21 +33,17 @@ QueryResult RunValidatedSearch(const SearchDispatch& dispatch, int dim,
     case QueryKind::kKnnBestFirst:
       if (spec.k <= 0) {
         result.status = Status::InvalidArgument("k must be >= 1");
-        break;
       }
-      result.neighbors =
-          (spec.kind == QueryKind::kKnn)
-              ? dispatch.KnnDfsImpl(query, spec.k, &result.io)
-              : dispatch.KnnBestFirstImpl(query, spec.k, &result.io);
       break;
     case QueryKind::kRange:
       if (!(spec.radius >= 0.0) || std::isinf(spec.radius)) {
         result.status =
             Status::InvalidArgument("radius must be finite and >= 0");
-        break;
       }
-      result.neighbors = dispatch.RangeImpl(query, spec.radius, &result.io);
       break;
+  }
+  if (result.status.ok()) {
+    result.neighbors = dispatch.SearchImpl(query, spec, &result.io);
   }
   result.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -26,21 +26,20 @@ namespace srtree {
 class EpochManager;
 class PointIndex;
 
-// The three traversal hooks every query entry point dispatches to, split
-// out of PointIndex so snapshot objects (IndexSnapshot implementations that
+// The traversal hook every query entry point dispatches to, split out of
+// PointIndex so snapshot objects (IndexSnapshot implementations that
 // traverse a pinned version) can share the exact validation shell —
 // RunValidatedSearch below — with the live index. Implementations are
 // called only with a validated spec and a query of the right
-// dimensionality; they record every page read into `io` (never null) and
-// must be const + re-entrant, carrying all traversal state on the stack.
+// dimensionality; they run the traversal spec.kind names (the page-based
+// trees through Traverse, src/index/traversal.h), record every page read
+// into `io` (never null) and must be const + re-entrant, carrying all
+// traversal state on the stack.
 class SearchDispatch {
  public:
-  virtual std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  virtual std::vector<Neighbor> SearchImpl(PointView query,
+                                           const QuerySpec& spec,
                                            IoStatsDelta* io) const = 0;
-  virtual std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                                 IoStatsDelta* io) const = 0;
-  virtual std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                          IoStatsDelta* io) const = 0;
 
  protected:
   ~SearchDispatch() = default;  // deleted only through concrete owners
@@ -57,8 +56,7 @@ class SearchDispatch {
 // checks the query point (ValidatePoint) and the spec (k >= 1 for the k-NN
 // kinds, radius finite and >= 0 for range), returns InvalidArgument with an
 // empty neighbor list when malformed (no traversal runs), and otherwise
-// routes to the matching SearchDispatch hook, stamping elapsed time either
-// way.
+// runs the SearchDispatch hook, stamping elapsed time either way.
 [[nodiscard]] QueryResult RunValidatedSearch(const SearchDispatch& dispatch,
                                              int dim, PointView query,
                                              const QuerySpec& spec);
@@ -260,16 +258,12 @@ class PointIndex : private SearchDispatch {
   virtual EpochManager* epoch_domain_for_test() const { return nullptr; }
 
  protected:
-  // Traversal hooks behind Search(), inherited from SearchDispatch (see its
-  // contract comment). Redeclared here — still pure — so they are protected
-  // members of every index: the base is a private one, and implementations
-  // override these, not callers.
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  // Traversal hook behind Search(), inherited from SearchDispatch (see its
+  // contract comment). Redeclared here — still pure — so it is a protected
+  // member of every index: the base is a private one, and implementations
+  // override it, not callers.
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override = 0;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override = 0;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override = 0;
 };
 
 }  // namespace srtree

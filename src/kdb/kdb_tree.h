@@ -14,9 +14,7 @@
 
 #include <vector>
 
-#include "src/geometry/kernel.h"
 #include "src/geometry/rect.h"
-#include "src/index/knn.h"
 #include "src/index/point_index.h"
 #include "src/storage/page_file.h"
 
@@ -85,12 +83,8 @@ class KdbTree : public PointIndex {
   int height() const { return root_level_ + 1; }
 
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
 
  private:
   struct LeafEntry {
@@ -147,13 +141,8 @@ class KdbTree : public PointIndex {
   static Rect ClipLo(const Rect& region, int dim, double value);
   static Rect ClipHi(const Rect& region, int dim, double value);
 
-  // --- search ---
-  void SearchKnn(PageId id, int level, PointView query,
-                 KnnCandidates& cand, KernelScratch& scratch,
-                 IoStatsDelta* io) const;
-  void SearchRange(PageId id, int level, PointView query,
-                   double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, IoStatsDelta* io) const;
+  // --- search: this tree as a NodeSource (src/index/traversal.h) ---
+  class Source;
   bool DeleteFrom(PageId id, int level, PointView point, uint32_t oid);
 
   // --- validation / stats ---

@@ -14,9 +14,7 @@
 
 #include <vector>
 
-#include "src/geometry/kernel.h"
 #include "src/geometry/rect.h"
-#include "src/index/knn.h"
 #include "src/index/point_index.h"
 #include "src/storage/page_file.h"
 
@@ -73,12 +71,8 @@ class VamSplitRTree : public PointIndex {
   int height() const { return root_level_ + 1; }
 
  protected:
-  std::vector<Neighbor> KnnDfsImpl(PointView query, int k,
+  std::vector<Neighbor> SearchImpl(PointView query, const QuerySpec& spec,
                                    IoStatsDelta* io) const override;
-  std::vector<Neighbor> KnnBestFirstImpl(PointView query, int k,
-                                         IoStatsDelta* io) const override;
-  std::vector<Neighbor> RangeImpl(PointView query, double radius,
-                                  IoStatsDelta* io) const override;
 
  private:
   struct LeafEntry {
@@ -130,13 +124,8 @@ class VamSplitRTree : public PointIndex {
                        uint64_t piece_cap, std::vector<ItemSpan>& pieces) const;
   int MaxVarianceDim(const std::vector<Point>& points, ItemSpan items) const;
 
-  // --- search ---
-  void SearchKnn(PageId id, int level, PointView query,
-                 KnnCandidates& cand, KernelScratch& scratch,
-                 IoStatsDelta* io) const;
-  void SearchRange(PageId id, int level, PointView query,
-                   double radius, std::vector<Neighbor>& out,
-                   KernelScratch& scratch, IoStatsDelta* io) const;
+  // --- search: this tree as a NodeSource (src/index/traversal.h) ---
+  class Source;
 
   // --- validation / stats ---
   void VisitSubtree(const Node& node, std::vector<int>& path,

@@ -16,6 +16,7 @@
 #include "src/debug/structural_auditor.h"
 #include "src/index/brute_force.h"
 #include "src/index/index_factory.h"
+#include "src/index/traversal.h"
 #include "src/statictier/static_sr_tree.h"
 #include "src/storage/epoch.h"
 #include "src/storage/image_io.h"
@@ -179,18 +180,17 @@ TEST(StaticSRTreeTest, TombstoneFilterMasksPointsInSnapshotSearches) {
   }
 
   const EpochGuard guard(tree.epoch_domain());
-  const PageFile::Snapshot snap = tree.AcquirePageSnapshot(guard);
+  const StaticSRTree::Source source(tree, tree.AcquirePageSnapshot(guard),
+                                    &tombstones);
   for (const Point& q : SampleQueriesFromDataset(data, 15, /*seed=*/41)) {
-    ExpectSameNeighbors(tree.KnnDfsSnapshot(snap, q, 10, nullptr, &tombstones),
+    ExpectSameNeighbors(KnnDfs(source, q, 10, nullptr),
                         oracle.Search(q, QuerySpec::Knn(10)).neighbors);
-    ExpectSameNeighbors(
-        tree.KnnBestFirstSnapshot(snap, q, 10, nullptr, &tombstones),
-        oracle.Search(q, QuerySpec::Knn(10)).neighbors);
+    ExpectSameNeighbors(KnnBestFirst(source, q, 10, nullptr),
+                        oracle.Search(q, QuerySpec::Knn(10)).neighbors);
     const double radius =
         oracle.Search(q, QuerySpec::Knn(5)).neighbors.back().distance;
-    ExpectSameNeighbors(
-        tree.RangeSnapshot(snap, q, radius, nullptr, &tombstones),
-        oracle.Search(q, QuerySpec::Range(radius)).neighbors);
+    ExpectSameNeighbors(Range(source, q, radius, nullptr),
+                        oracle.Search(q, QuerySpec::Range(radius)).neighbors);
   }
 }
 
