@@ -97,6 +97,7 @@ class AuditRun {
     // Uniform leaf depth / level consistency: a node at depth d must sit at
     // level root_level - d, which forces every leaf to level 0 at the same
     // depth.
+    CheckFinite(node, path);
     const int expected_level = root_level_ - static_cast<int>(path.size());
     if (node.level != expected_level) {
       Report(ViolationKind::kUnevenLeafDepth, path,
@@ -160,6 +161,43 @@ class AuditRun {
       CheckClaim(node, *claimed, local, path);
     }
     return local;
+  }
+
+  // Every value `node` stores — leaf coordinates, entry rect bounds, sphere
+  // centers and radii — must be finite: the checks below compare them, and
+  // a NaN compares false against everything, so it would pass each one
+  // vacuously. One report per node.
+  void CheckFinite(const MirrorNode& node, const std::vector<int>& path) {
+    auto finite = [](PointView p) {
+      return std::all_of(p.begin(), p.end(),
+                         [](double c) { return std::isfinite(c); });
+    };
+    for (size_t i = 0; i < node.points.size(); ++i) {
+      if (!finite(node.points[i])) {
+        Report(ViolationKind::kNonFiniteValue, path,
+               "leaf point " + std::to_string(i) + " " +
+                   FormatPoint(node.points[i]) +
+                   " has a non-finite coordinate");
+        return;
+      }
+    }
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const MirrorEntry& e = node.entries[i];
+      const char* what = nullptr;
+      if (e.rect.has_value() &&
+          !(finite(e.rect->lo()) && finite(e.rect->hi()))) {
+        what = "rect bound";
+      } else if (e.sphere.has_value() && !finite(e.sphere->center())) {
+        what = "sphere center";
+      } else if (e.sphere.has_value() && !std::isfinite(e.sphere->radius())) {
+        what = "sphere radius";
+      }
+      if (what != nullptr) {
+        Report(ViolationKind::kNonFiniteValue, path,
+               "entry " + std::to_string(i) + " has a non-finite " + what);
+        return;
+      }
+    }
   }
 
   // Rectangle semantics of `node`'s own contents against the region claimed
@@ -352,6 +390,8 @@ const char* ViolationKindName(ViolationKind kind) {
       return "weight-mismatch";
     case ViolationKind::kEntryCountMismatch:
       return "entry-count-mismatch";
+    case ViolationKind::kNonFiniteValue:
+      return "non-finite-value";
   }
   return "unknown";
 }

@@ -13,7 +13,9 @@
 //   * fanout within [min_entries, capacity], supernode page economy;
 //   * uniform leaf depth and level bookkeeping;
 //   * entry-count bookkeeping — entry weights match actual subtree counts
-//     and the leaf total matches PointIndex::size().
+//     and the leaf total matches PointIndex::size();
+//   * finiteness — no stored coordinate, rect bound, sphere center or
+//     radius is NaN or infinite (a NaN would pass every other check).
 //
 // Unlike a bare Status, the auditor reports a typed list of violations,
 // each naming the offending node by its root path ("root/2/0"), so tests
@@ -44,6 +46,7 @@ enum class ViolationKind {
   kSphereExceedsRect,   // sphere radius above the d_r bound (Section 4.2)
   kWeightMismatch,      // entry weight != actual subtree point count
   kEntryCountMismatch,  // leaf point total != PointIndex::size()
+  kNonFiniteValue,      // NaN or +-Inf in a point, rect, center or radius
 };
 
 const char* ViolationKindName(ViolationKind kind);

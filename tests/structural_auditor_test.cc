@@ -4,6 +4,7 @@
 // friend that rewrites pages directly.
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -241,6 +242,117 @@ TEST(CorruptedAuditTest, SphereInflatedPastRectBoundIsLocated) {
   EXPECT_TRUE(HasViolationAt(violations, ViolationKind::kSphereExceedsRect,
                              "root/0"))
       << Describe(violations);
+}
+
+// --- non-finite stored values are corruption ---
+
+// A hand-built two-leaf tree presented through VisitNodes() the way the real
+// trees present theirs: a root whose two entries carry an exact MBR and a
+// bounding sphere each, over the leaves {(0,0), (1,1)} and {(2,2), (3,3)}.
+// Each case poisons one stored value; nothing reaches the index's own
+// input validation, as with a corrupt but checksummed page.
+class HandBuiltIndex : public PointIndex {
+ public:
+  HandBuiltIndex()
+      : rects_{Rect(Point{0, 0}, Point{1, 1}), Rect(Point{2, 2}, Point{3, 3})},
+        spheres_{Sphere(Point{0.5, 0.5}, 0.75), Sphere(Point{2.5, 2.5}, 0.75)},
+        leaves_{{Point{0, 0}, Point{1, 1}}, {Point{2, 2}, Point{3, 3}}} {}
+
+  Rect& rect(size_t i) { return rects_[i]; }
+  Sphere& sphere(size_t i) { return spheres_[i]; }
+  Point& point(size_t leaf, size_t i) { return leaves_[leaf][i]; }
+
+  int dim() const override { return 2; }
+  size_t size() const override { return 4; }
+  std::string name() const override { return "hand-built"; }
+  Status Insert(PointView, uint32_t) override { return Status::OK(); }
+  Status Delete(PointView, uint32_t) override { return Status::OK(); }
+  size_t leaf_capacity() const override { return 4; }
+  size_t node_capacity() const override { return 4; }
+  TreeStats GetTreeStats() const override {
+    return TreeStats{/*height=*/2, /*node_count=*/1, /*leaf_count=*/2,
+                     /*entry_count=*/4};
+  }
+  Status CheckInvariants() const override { return debug::AuditIndex(*this); }
+  RegionSummary LeafRegionSummary() const override { return {}; }
+  const IoStats& io_stats() const override { return stats_; }
+  void ResetIoStats() override {}
+
+  AuditSpec GetAuditSpec() const override {
+    AuditSpec spec;
+    spec.dim = 2;
+    spec.rect_semantics = RectSemantics::kExactMbr;
+    spec.has_spheres = true;
+    return spec;
+  }
+
+  void VisitNodes(const NodeVisitor& visitor) const override {
+    NodeView root;
+    root.level = 1;
+    root.capacity = 4;
+    for (size_t i = 0; i < 2; ++i) {
+      root.entries.push_back(EntryView{&rects_[i], &spheres_[i], 0, false});
+    }
+    visitor({}, root);
+    for (size_t leaf = 0; leaf < 2; ++leaf) {
+      NodeView view;
+      view.capacity = 4;
+      for (const Point& p : leaves_[leaf]) view.points.push_back(p);
+      visitor({static_cast<int>(leaf)}, view);
+    }
+  }
+
+ protected:
+  std::vector<Neighbor> SearchImpl(PointView, const QuerySpec&,
+                                   IoStatsDelta*) const override {
+    return {};
+  }
+
+ private:
+  Rect rects_[2];
+  Sphere spheres_[2];
+  std::vector<Point> leaves_[2];
+  IoStats stats_;
+};
+
+// The audit must fail with the non-finite finding first, at `path`.
+void ExpectNonFiniteAt(const HandBuiltIndex& index, const std::string& path) {
+  const Status status = index.CheckInvariants();
+  ASSERT_FALSE(status.ok()) << "audit passed a non-finite stored value";
+  EXPECT_NE(status.message().find(path + ": non-finite-value"),
+            std::string::npos)
+      << status.ToString();
+}
+
+TEST(CorruptedAuditTest, NonFiniteStoredValuesAreCorruption) {
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(HandBuiltIndex().CheckInvariants().ok());
+  {
+    HandBuiltIndex index;  // a NaN coordinate passes every geometric check
+    index.point(1, 1)[1] = kNaN;
+    ExpectNonFiniteAt(index, "root/1");
+  }
+  {
+    HandBuiltIndex index;
+    index.point(0, 0)[0] = -kInf;
+    ExpectNonFiniteAt(index, "root/0");
+  }
+  {
+    HandBuiltIndex index;
+    index.rect(0) = Rect(Point{0, 0}, Point{1, kInf});
+    ExpectNonFiniteAt(index, "root");
+  }
+  {
+    HandBuiltIndex index;
+    index.sphere(1) = Sphere(Point{2.5, -kInf}, 0.75);
+    ExpectNonFiniteAt(index, "root");
+  }
+  {
+    HandBuiltIndex index;
+    index.sphere(0).set_radius(kNaN);
+    ExpectNonFiniteAt(index, "root");
+  }
 }
 
 }  // namespace
