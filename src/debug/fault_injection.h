@@ -103,6 +103,8 @@ struct PersistenceFaultFuzzOptions {
 //   * loading a corrupted image either fails with a clean Status or yields
 //     an index that passes CheckInvariants() and answers k-NN queries
 //     identically to a brute-force oracle over one of the two saved states.
+// Every 64 rounds the reopened pristine image and the in-memory index also
+// take a non-finite input probe (debug::ProbeNonFiniteInput).
 // Returns OK when every fault upheld the invariants, otherwise Corruption
 // naming the seed, round, and fault kind of the first violation.
 Status RunPersistenceFaultFuzz(IndexType type,

@@ -50,6 +50,7 @@ TEST_P(MutationFuzzTest, RandomizedOpsMatchBruteForceAndStayAudited) {
                 fuzzer.stats().missing_deletes,
             options.num_mutations);
   EXPECT_GE(fuzzer.stats().audits, options.num_mutations / options.batch_size);
+  EXPECT_EQ(fuzzer.stats().non_finite_probes, options.num_mutations / 100);
 }
 
 // The six dynamic tree variants, two fixed seeds each.
@@ -88,6 +89,7 @@ TEST(MutationFuzzStaticTest, VamSplitQueryOnlyFuzz) {
   const Status status = fuzzer.Run(index);
   EXPECT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(fuzzer.stats().knn_queries, 250u);
+  EXPECT_EQ(fuzzer.stats().non_finite_probes, 10u);
 }
 
 // Save/Open round-trips interleaved into the mutation schedule, through
