@@ -1,5 +1,6 @@
 #include "src/storage/epoch.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
@@ -17,12 +18,13 @@ EpochManager::~EpochManager() {
   retired_.clear();  // no readers left; dropping the references frees all
 }
 
-size_t EpochManager::ClaimSlot() {
+size_t EpochManager::ClaimSlot(bool pin) {
   for (;;) {
     // The announce value is read before the CAS publishes it. A value that
     // goes stale while scanning is only ever *older* than the true current
     // epoch, which delays reclamation but never makes it unsafe.
-    const uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
+    const uint64_t e = global_epoch_.load(std::memory_order_seq_cst) |
+                       (pin ? kPinBit : 0);
     for (size_t i = 0; i < kMaxReaders; ++i) {
       uint64_t expected = 0;
       if (slots_[i].epoch.compare_exchange_strong(expected, e,
@@ -46,13 +48,19 @@ void EpochManager::AdvanceAndReclaim() {
 }
 
 size_t EpochManager::ReclaimExpired() {
+  // Reclamation respects every announce; the hung-reader heuristic looks at
+  // plain guards only (`min_reader`), never at deliberate pins.
   uint64_t min_active = std::numeric_limits<uint64_t>::max();
-  size_t oldest_slot = kMaxReaders;
+  uint64_t min_reader = std::numeric_limits<uint64_t>::max();
+  size_t oldest_reader = kMaxReaders;
   for (size_t i = 0; i < kMaxReaders; ++i) {
-    const uint64_t e = slots_[i].epoch.load(std::memory_order_seq_cst);
-    if (e != 0 && e < min_active) {
-      min_active = e;
-      oldest_slot = i;
+    const uint64_t raw = slots_[i].epoch.load(std::memory_order_seq_cst);
+    if (raw == 0) continue;
+    const uint64_t e = raw & ~kPinBit;
+    min_active = std::min(min_active, e);
+    if ((raw & kPinBit) == 0 && e < min_reader) {
+      min_reader = e;
+      oldest_reader = i;
     }
   }
 
@@ -68,17 +76,21 @@ size_t EpochManager::ReclaimExpired() {
   }
   retired_.resize(kept);
 
-  if (oldest_slot != kMaxReaders && kept >= kStuckBacklog) {
-    const uint64_t global = global_epoch_.load(std::memory_order_seq_cst);
-    if (global - min_active >= kStuckEpochGap) {
-      if (stuck_warnings_++ % kWarnEvery == 0) {
-        std::fprintf(stderr,
-                     "[srtree/epoch] reader slot %zu pinned at epoch %" PRIu64
-                     " while the global epoch is %" PRIu64 "; %zu retired "
-                     "object(s) are waiting on it (possible hung reader — "
-                     "memory is held, not leaked)\n",
-                     oldest_slot, min_active, global, kept);
-      }
+  const uint64_t global = global_epoch_.load(std::memory_order_seq_cst);
+  if (oldest_reader != kMaxReaders && kept >= kStuckBacklog &&
+      global - min_reader >= kStuckEpochGap) {
+    // Only the retirees this reader holds back count against it; older
+    // ones wait on a pin.
+    const size_t waiting = static_cast<size_t>(std::count_if(
+        retired_.begin(), retired_.end(),
+        [&](const Retiree& r) { return r.epoch >= min_reader; }));
+    if (waiting >= kStuckBacklog && stuck_warnings_++ % kWarnEvery == 0) {
+      std::fprintf(stderr,
+                   "[srtree/epoch] reader slot %zu pinned at epoch %" PRIu64
+                   " while the global epoch is %" PRIu64 "; %zu retired "
+                   "object(s) are waiting on it (possible hung reader — "
+                   "memory is held, not leaked)\n",
+                   oldest_reader, min_reader, global, waiting);
     }
   }
   return freed;

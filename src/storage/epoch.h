@@ -23,7 +23,10 @@
 // Hung-reader behavior: reclamation never frees under an active announce,
 // so a stuck reader pins memory instead of racing it. ReclaimExpired()
 // detects the pattern (old announce + growing retire backlog) and logs it
-// to stderr rather than leaking silently.
+// to stderr rather than leaking silently. A deliberate pin — the EpochPin
+// behind an IndexSnapshot, which a QueryEngine batch holds for the whole
+// batch — holds memory back the same way but is never reported: it is
+// long-lived by design, not forgotten.
 
 #ifndef SRTREE_STORAGE_EPOCH_H_
 #define SRTREE_STORAGE_EPOCH_H_
@@ -48,13 +51,14 @@ class EpochManager {
   // any worker-pool size this library runs.
   static constexpr size_t kMaxReaders = 64;
 
-  // Hung-reader heuristic (see ReclaimExpired): warn only when a reader's
-  // announce is kStuckEpochGap epochs behind the global counter AND at
-  // least kStuckBacklog retirees are waiting on it; a healthy reader holds
-  // a snapshot for a handful of commits, so tripping both thresholds means
-  // someone forgot to release a guard. kWarnEvery rate-limits the log to
-  // one line per that many suppressed detections. Public so tests can
-  // construct the scenario exactly at the boundary.
+  // Hung-reader heuristic (see ReclaimExpired): warn only when a plain
+  // guard's announce is kStuckEpochGap epochs behind the global counter AND
+  // at least kStuckBacklog retirees are waiting on it; a healthy reader
+  // holds a snapshot for a handful of commits, so tripping both thresholds
+  // means someone forgot to release a guard. EpochPin announces are never
+  // reported. kWarnEvery rate-limits the log to one line per that many
+  // suppressed detections. Public so tests can construct the scenario
+  // exactly at the boundary.
   static constexpr uint64_t kStuckEpochGap = 512;
   static constexpr size_t kStuckBacklog = 4096;
   static constexpr uint64_t kWarnEvery = 256;
@@ -83,8 +87,9 @@ class EpochManager {
 
   // Frees every retiree whose tag epoch is older than the oldest announced
   // epoch (all of them when no reader is active). Returns the number freed.
-  // Also performs hung-reader detection: an announce pinned far behind the
-  // global epoch while the retire backlog grows is logged to stderr.
+  // Also performs hung-reader detection: a plain guard's announce far
+  // behind the global epoch while the retire backlog it holds grows is
+  // logged to stderr.
   size_t ReclaimExpired() EXCLUDES(retired_mu_);
 
   // Number of objects retired but not yet freed (tests assert this reaches
@@ -96,21 +101,25 @@ class EpochManager {
 
   // Total hung-reader detections so far (including rate-limited ones that
   // produced no stderr line). Tests assert the warning fires exactly at
-  // the kStuckEpochGap/kStuckBacklog boundary and stays silent below it.
+  // the kStuckEpochGap/kStuckBacklog boundary, stays silent below it, and
+  // stays silent for deliberate pins.
   uint64_t hung_reader_warning_count() const EXCLUDES(retired_mu_);
 
  private:
   friend class EpochGuard;
 
   // One announce slot per active reader; 0 = free. Cache-line aligned so
-  // concurrent readers entering/exiting do not false-share.
+  // concurrent readers entering/exiting do not false-share. A deliberate
+  // pin's announce carries kPinBit; every epoch comparison masks it off.
   struct alignas(64) Slot {
     std::atomic<uint64_t> epoch{0};
   };
+  static constexpr uint64_t kPinBit = uint64_t{1} << 63;
 
-  // Claims a free slot and announces the current epoch in it. Spins (with
-  // yields) when all kMaxReaders slots are taken.
-  size_t ClaimSlot();
+  // Claims a free slot and announces the current epoch in it (tagged with
+  // kPinBit for a deliberate pin). Spins (with yields) when all
+  // kMaxReaders slots are taken.
+  size_t ClaimSlot(bool pin);
   void ReleaseSlot(size_t slot) {
     slots_[slot].epoch.store(0, std::memory_order_seq_cst);
   }
@@ -140,20 +149,33 @@ class EpochManager {
 // reference, so snapshot acquisition cannot compile without one.
 class EpochGuard {
  public:
-  explicit EpochGuard(EpochManager& epochs)
-      : epochs_(epochs), slot_(epochs.ClaimSlot()) {}
+  explicit EpochGuard(EpochManager& epochs) : EpochGuard(epochs, false) {}
   ~EpochGuard() { epochs_.ReleaseSlot(slot_); }
 
   EpochGuard(const EpochGuard&) = delete;
   EpochGuard& operator=(const EpochGuard&) = delete;
 
   uint64_t announced_epoch() const {
-    return epochs_.slots_[slot_].epoch.load(std::memory_order_seq_cst);
+    return epochs_.slots_[slot_].epoch.load(std::memory_order_seq_cst) &
+           ~EpochManager::kPinBit;
   }
+
+ protected:
+  EpochGuard(EpochManager& epochs, bool pin)
+      : epochs_(epochs), slot_(epochs.ClaimSlot(pin)) {}
 
  private:
   EpochManager& epochs_;
   size_t slot_;
+};
+
+// The guard an IndexSnapshot holds for its whole lifetime: a deliberate,
+// possibly long pin (a QueryEngine batch keeps one across every commit the
+// batch overlaps). It protects and holds back memory exactly like any
+// EpochGuard, but the hung-reader heuristic does not report it.
+class EpochPin : public EpochGuard {
+ public:
+  explicit EpochPin(EpochManager& epochs) : EpochGuard(epochs, true) {}
 };
 
 }  // namespace srtree

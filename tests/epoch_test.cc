@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/sr_tree.h"
+#include "src/workload/uniform.h"
+
 namespace srtree {
 namespace {
 
@@ -95,6 +98,53 @@ TEST(EpochManagerTest, HungReaderWarningFiresOnlyPastBothThresholds) {
   EXPECT_EQ(epochs.hung_reader_warning_count(), 1u);
   epochs.AdvanceAndReclaim();
   EXPECT_EQ(epochs.hung_reader_warning_count(), 2u);
+}
+
+// The same scenario with a deliberate pin (the guard an IndexSnapshot
+// holds): memory is still held back, but nothing is reported.
+TEST(EpochManagerTest, DeliberatePinIsNeverReportedAsHungReader) {
+  EpochManager epochs;
+  {
+    EpochPin pin(epochs);
+    for (size_t i = 0; i < EpochManager::kStuckBacklog + 16; ++i) {
+      epochs.Retire(std::make_shared<int>(0));
+    }
+    for (uint64_t i = 0; i < EpochManager::kStuckEpochGap + 16; ++i) {
+      epochs.AdvanceAndReclaim();
+    }
+    EXPECT_EQ(epochs.retired_count(), EpochManager::kStuckBacklog + 16);
+    EXPECT_EQ(epochs.hung_reader_warning_count(), 0u);
+
+    // A plain guard entering now holds nothing back (every retiree is
+    // older than its announce), so it is not reported either.
+    EpochGuard fresh(epochs);
+    epochs.AdvanceAndReclaim();
+    EXPECT_EQ(epochs.hung_reader_warning_count(), 0u);
+  }
+  epochs.ReclaimExpired();
+  EXPECT_EQ(epochs.retired_count(), 0u);
+}
+
+// End to end: an SR-tree snapshot (what QueryEngine::RunBatch holds for a
+// whole batch) pinned across more than kStuckEpochGap commits, with at
+// least kStuckBacklog retirees waiting on it, is not a hung reader.
+TEST(EpochManagerTest, SnapshotHeldAcrossManyCommitsIsNotAHungReader) {
+  SRTree::Options options;
+  options.dim = 4;
+  options.page_size = 2048;
+  options.leaf_data_size = 0;
+  SRTree tree(options);
+  const Dataset data = MakeUniformDataset(3000, options.dim, /*seed=*/5);
+  const std::unique_ptr<IndexSnapshot> snapshot = tree.AcquireSnapshot();
+  for (size_t i = 0; i < data.size(); ++i) {
+    ASSERT_TRUE(tree.Insert(data.point(i), static_cast<uint32_t>(i)).ok());
+  }
+  EpochManager& epochs = tree.epochs_for_test();
+  ASSERT_GT(tree.AcquireSnapshot()->version() - snapshot->version(),
+            EpochManager::kStuckEpochGap);
+  ASSERT_GE(epochs.retired_count(), EpochManager::kStuckBacklog);
+  EXPECT_EQ(epochs.hung_reader_warning_count(), 0u);
+  EXPECT_EQ(snapshot->size(), 0u);  // the pinned version is still served
 }
 
 }  // namespace
